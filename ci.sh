@@ -40,27 +40,6 @@ echo "==> QUICK=1 NOW_MONITORS=1 all_experiments (invariant monitors armed)"
 QUICK=1 NOW_MONITORS=1 cargo run --quiet --release -p isis-bench --bin all_experiments \
     | tee BENCH_artifacts/experiments_quick.txt
 
-echo "==> parallel engine: QUICK sweep at NOW_SIM_JOBS=4, digest vs sequential"
-# The whole quick sweep again, with every simulation sharded across 4
-# workers and the invariant monitors still armed. The emitted tables must
-# be byte-identical to the sequential pass above — the parallel engine may
-# only change wall-clock, never a byte of output. (Wall-clock lines differ
-# by construction and are stripped before comparing.)
-cp BENCH_results.json BENCH_artifacts/BENCH_results_seq.json
-QUICK=1 NOW_MONITORS=1 NOW_SIM_JOBS=4 cargo run --quiet --release -p isis-bench --bin all_experiments \
-    | tee BENCH_artifacts/experiments_quick_simjobs4.txt
-# Keep the sequential sweep's microbench numbers as the gate input: the
-# sharded re-run exists to prove byte-identity, not to time hot paths.
-mv BENCH_results.json BENCH_artifacts/BENCH_results_simjobs4.json
-cp BENCH_artifacts/BENCH_results_seq.json BENCH_results.json
-for f in experiments_quick experiments_quick_simjobs4; do
-    grep -v "wall-clock\|min .* | median .* | mean " \
-        "BENCH_artifacts/$f.txt" > "BENCH_artifacts/$f.tables"
-done
-diff BENCH_artifacts/experiments_quick.tables BENCH_artifacts/experiments_quick_simjobs4.tables \
-    || { echo "ci: NOW_SIM_JOBS=4 sweep diverged from sequential"; exit 1; }
-echo "parallel engine: NOW_SIM_JOBS=4 output byte-identical to sequential"
-
 echo "==> bench_gate (hot-path minima vs committed baseline)"
 cargo run --quiet --release -p isis-bench --bin bench_gate -- \
     BENCH_artifacts/baseline.json BENCH_results.json

@@ -179,15 +179,19 @@ pub fn generic_large_cluster<B: LargeApp>(
         .collect();
     let deadline = sim.now() + SimDuration::from_secs(1_200);
     loop {
-        let joined = members
-            .iter()
-            .all(|&m| sim.process(m).app().is_large_member(lgid));
+        // The leader-view check is cheap and fails on almost every step of
+        // formation, so it runs first: the O(n) member scan only runs once
+        // the leader accounts for everyone.
         let accounted = sim
             .process(leaders[0])
             .app()
             .leader_view(lgid)
             .is_some_and(|v| v.total_members() == n);
-        if joined && accounted {
+        if accounted
+            && members
+                .iter()
+                .all(|&m| sim.process(m).app().is_large_member(lgid))
+        {
             return (sim, leaders, members);
         }
         if sim.now() >= deadline {
@@ -332,15 +336,17 @@ impl LargeCluster {
         let want = self.members.iter().filter(|&&m| self.sim.is_alive(m)).count();
         let deadline = self.sim.now() + limit;
         loop {
-            let joined = self
-                .members
-                .iter()
-                .filter(|&&m| self.sim.is_alive(m))
-                .all(|&m| self.sim.process(m).app().is_large_member(lgid));
+            // Cheap leader-view check first, as in `generic_large_cluster`.
             let accounted = self
                 .leader_hier_view()
                 .is_some_and(|v| v.total_members() == want);
-            if joined && accounted {
+            if accounted
+                && self
+                    .members
+                    .iter()
+                    .filter(|&&m| self.sim.is_alive(m))
+                    .all(|&m| self.sim.process(m).app().is_large_member(lgid))
+            {
                 return;
             }
             if self.sim.now() >= deadline {

@@ -35,7 +35,6 @@ fn jittery(seed: u64, jitter_us: u64) -> Sim<Probe> {
             loopback: SimDuration::from_micros(1),
             fifo: true,
         },
-        jobs: None,
     };
     Sim::new(cfg)
 }
@@ -105,7 +104,6 @@ proptest! {
                 loopback: SimDuration::from_micros(1),
                 fifo: true,
             },
-            jobs: None,
         };
         let mut sim: Sim<Probe> = Sim::new(cfg);
         let nodes = sim.add_nodes(2);
