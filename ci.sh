@@ -19,7 +19,11 @@
 #      flaps, storms, rep-chain kills, crash-recover churn) with the
 #      monitors — including VS-REJOIN — armed as oracles — any violation
 #      fails the gate; the coverage census lands in artifacts,
-#   8. the determinism linter, emitting its machine-readable report.
+#   8. the determinism linter, emitting its machine-readable report,
+#   9. clippy over every target of the workspace, warnings denied,
+#  10. the perfbench self-tests: perfbench is a workspace of its own, so
+#      steps 1-2 never compile it; this catches an API change in the
+#      crates that would break the benchmark.
 # Fails on the first broken step or on any non-allowlisted lint finding.
 # Artifacts land in BENCH_artifacts/.
 set -euo pipefail
@@ -60,5 +64,11 @@ cargo run --quiet --release -p now-chaos --bin chaos_sweep -- \
 
 echo "==> cargo run -p detlint -- --json"
 cargo run --quiet -p detlint -- --json | tee BENCH_artifacts/detlint.json
+
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> perfbench self-tests (builds the benchmark against the crates)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> ci: all green"

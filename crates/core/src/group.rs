@@ -54,41 +54,13 @@ pub(crate) enum Effect<P> {
     DropGroup { gid: GroupId },
 }
 
-/// Interned per-category send counters, indexed by
-/// [`IsisMsg::category_index`](crate::msg::IsisMsg::category_index).
-/// Registered once per simulation on the first protocol send, so the
-/// per-message cost is a single array index — no string comparison, no
-/// tree walk, no allocation.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SentCounters {
-    ids: [now_sim::CounterId; SENT_COUNTER_NAMES.len()],
-}
-
-/// Counter names in [`IsisMsg::category_index`] order.
-const SENT_COUNTER_NAMES: [&str; 15] = [
-    "isis.sent.join_req",
-    "isis.sent.join_fwd",
-    "isis.sent.join_denied",
-    "isis.sent.leave_req",
-    "isis.sent.suspect",
-    "isis.sent.flush",
-    "isis.sent.flush_ack",
-    "isis.sent.install",
-    "isis.sent.cast_fifo",
-    "isis.sent.cast_causal",
-    "isis.sent.cast_total",
-    "isis.sent.abcast_order",
-    "isis.sent.cast_ack",
-    "isis.sent.heartbeat",
-    "isis.sent.direct",
-];
-
-impl SentCounters {
-    pub(crate) fn register<M>(ctx: &mut Ctx<'_, M>) -> SentCounters {
-        SentCounters {
-            ids: SENT_COUNTER_NAMES.map(|name| ctx.counter_id(name)),
-        }
-    }
+/// Sends a protocol message, bumping its per-category counter
+/// ([`IsisMsg::category`]). Every core send goes through here or
+/// [`Env::multicast`], so the `isis.sent.*` counters sum to the messages
+/// the core put on the network.
+pub(crate) fn send_counted<P, S>(ctx: &mut Ctx<'_, IsisMsg<P, S>>, to: Pid, msg: IsisMsg<P, S>) {
+    ctx.bump(msg.category());
+    ctx.send(to, msg);
 }
 
 /// Borrowed context handed to every runtime method: the simulator effect
@@ -97,17 +69,12 @@ pub(crate) struct Env<'a, 'b, A: Application> {
     pub ctx: &'a mut Ctx<'b, MsgOf<A>>,
     pub cfg: &'a IsisConfig,
     pub effects: &'a mut Vec<Effect<A::Payload>>,
-    /// Process-cached send-counter handles (filled on first send).
-    pub sent: &'a mut Option<SentCounters>,
 }
 
 impl<'a, 'b, A: Application> Env<'a, 'b, A> {
     /// Sends a protocol message, bumping its per-category counter.
     pub fn send(&mut self, to: Pid, msg: MsgOf<A>) {
-        let ctx = &mut *self.ctx;
-        let sent = self.sent.get_or_insert_with(|| SentCounters::register(ctx));
-        ctx.bump_id(sent.ids[msg.category_index()]);
-        ctx.send(to, msg);
+        send_counted(self.ctx, to, msg);
     }
 
     /// Sends one protocol message to every pid in `dsts` through the
@@ -118,10 +85,8 @@ impl<'a, 'b, A: Application> Env<'a, 'b, A> {
         if dsts.is_empty() {
             return;
         }
-        let ctx = &mut *self.ctx;
-        let sent = self.sent.get_or_insert_with(|| SentCounters::register(ctx));
-        ctx.bump_id_by(sent.ids[msg.category_index()], dsts.len() as u64);
-        ctx.multicast(dsts, msg);
+        self.ctx.bump_by(msg.category(), dsts.len() as u64);
+        self.ctx.multicast(dsts, msg);
     }
 
     pub fn now(&self) -> SimTime {

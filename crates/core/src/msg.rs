@@ -199,51 +199,26 @@ pub enum IsisMsg<P, S> {
 }
 
 impl<P, S> IsisMsg<P, S> {
-    /// Classifies the message for per-category send counters.
+    /// Classifies the message: the name of its per-category send counter.
     pub fn category(&self) -> &'static str {
         match self {
-            IsisMsg::JoinReq { .. } => "join_req",
-            IsisMsg::JoinForward { .. } => "join_fwd",
-            IsisMsg::JoinDenied { .. } => "join_denied",
-            IsisMsg::LeaveReq { .. } => "leave_req",
-            IsisMsg::SuspectReport { .. } => "suspect",
-            IsisMsg::Flush { .. } => "flush",
-            IsisMsg::FlushAck { .. } => "flush_ack",
-            IsisMsg::InstallView { .. } => "install",
+            IsisMsg::JoinReq { .. } => "isis.sent.join_req",
+            IsisMsg::JoinForward { .. } => "isis.sent.join_fwd",
+            IsisMsg::JoinDenied { .. } => "isis.sent.join_denied",
+            IsisMsg::LeaveReq { .. } => "isis.sent.leave_req",
+            IsisMsg::SuspectReport { .. } => "isis.sent.suspect",
+            IsisMsg::Flush { .. } => "isis.sent.flush",
+            IsisMsg::FlushAck { .. } => "isis.sent.flush_ack",
+            IsisMsg::InstallView { .. } => "isis.sent.install",
             IsisMsg::Cast(c) => match c.kind {
-                CastKind::Fifo => "cast_fifo",
-                CastKind::Causal => "cast_causal",
-                CastKind::Total => "cast_total",
+                CastKind::Fifo => "isis.sent.cast_fifo",
+                CastKind::Causal => "isis.sent.cast_causal",
+                CastKind::Total => "isis.sent.cast_total",
             },
-            IsisMsg::AbcastOrder { .. } => "abcast_order",
-            IsisMsg::CastAck { .. } => "cast_ack",
-            IsisMsg::Heartbeat { .. } => "heartbeat",
-            IsisMsg::Direct(_) => "direct",
-        }
-    }
-
-    /// Dense category index (same order as [`IsisMsg::category`] names),
-    /// used to pick the interned per-category send counter without string
-    /// comparisons on the hot path.
-    pub fn category_index(&self) -> usize {
-        match self {
-            IsisMsg::JoinReq { .. } => 0,
-            IsisMsg::JoinForward { .. } => 1,
-            IsisMsg::JoinDenied { .. } => 2,
-            IsisMsg::LeaveReq { .. } => 3,
-            IsisMsg::SuspectReport { .. } => 4,
-            IsisMsg::Flush { .. } => 5,
-            IsisMsg::FlushAck { .. } => 6,
-            IsisMsg::InstallView { .. } => 7,
-            IsisMsg::Cast(c) => match c.kind {
-                CastKind::Fifo => 8,
-                CastKind::Causal => 9,
-                CastKind::Total => 10,
-            },
-            IsisMsg::AbcastOrder { .. } => 11,
-            IsisMsg::CastAck { .. } => 12,
-            IsisMsg::Heartbeat { .. } => 13,
-            IsisMsg::Direct(_) => 14,
+            IsisMsg::AbcastOrder { .. } => "isis.sent.abcast_order",
+            IsisMsg::CastAck { .. } => "isis.sent.cast_ack",
+            IsisMsg::Heartbeat { .. } => "isis.sent.heartbeat",
+            IsisMsg::Direct(_) => "isis.sent.direct",
         }
     }
 
@@ -345,14 +320,14 @@ mod tests {
 
     #[test]
     fn categories_distinguish_cast_kinds() {
-        assert_eq!(cast(CastKind::Causal).category(), "cast_causal");
-        assert_eq!(cast(CastKind::Total).category(), "cast_total");
-        assert_eq!(cast(CastKind::Fifo).category(), "cast_fifo");
+        assert_eq!(cast(CastKind::Causal).category(), "isis.sent.cast_causal");
+        assert_eq!(cast(CastKind::Total).category(), "isis.sent.cast_total");
+        assert_eq!(cast(CastKind::Fifo).category(), "isis.sent.cast_fifo");
         let hb: M = IsisMsg::Heartbeat {
             gid: GroupId(1),
             stab: StabilityVector::default(),
         };
-        assert_eq!(hb.category(), "heartbeat");
+        assert_eq!(hb.category(), "isis.sent.heartbeat");
     }
 
     #[test]

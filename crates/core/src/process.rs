@@ -8,7 +8,7 @@ use now_sim::{Ctx, Pid, Process, SimTime, TimerId};
 
 use crate::app::{Application, MsgOf, Uplink, UpOp};
 use crate::config::IsisConfig;
-use crate::group::{Effect, Env, GroupRuntime, Status};
+use crate::group::{send_counted, Effect, Env, GroupRuntime, Status};
 use crate::msg::{DeliveryFloor, IsisMsg, RelaySet};
 use crate::types::{CastKind, GroupId, GroupView, IsisError, MsgId};
 
@@ -48,9 +48,6 @@ pub struct IsisProcess<A: Application> {
     views_cache: BTreeMap<GroupId, GroupView>,
     joining: BTreeMap<GroupId, JoinState>,
     orphans: Vec<(Pid, MsgOf<A>)>,
-    /// Interned per-category send-counter handles, registered on the first
-    /// protocol send (see [`crate::group::SentCounters`]).
-    sent_ids: Option<crate::group::SentCounters>,
     /// Reusable group-id snapshot for the housekeeping tick (the tick runs
     /// forever on every process, so it must not allocate per firing).
     tick_gids: Vec<GroupId>,
@@ -66,7 +63,6 @@ impl<A: Application> IsisProcess<A> {
             views_cache: BTreeMap::new(),
             joining: BTreeMap::new(),
             orphans: Vec::new(),
-            sent_ids: None,
             tick_gids: Vec::new(),
         }
     }
@@ -185,8 +181,7 @@ impl<A: Application> IsisProcess<A> {
                 last_attempt: ctx.now(),
             },
         );
-        ctx.bump("isis.sent.join_req");
-        ctx.send(contact, IsisMsg::JoinReq { gid });
+        send_counted(ctx, contact, IsisMsg::JoinReq { gid });
         Ok(())
     }
 
@@ -239,8 +234,7 @@ impl<A: Application> IsisProcess<A> {
 
     /// Sends a point-to-point application message.
     pub fn send_direct(&mut self, to: Pid, payload: A::Payload, ctx: &mut Ctx<'_, MsgOf<A>>) {
-        ctx.bump("isis.sent.direct");
-        ctx.send(to, IsisMsg::Direct(payload));
+        send_counted(ctx, to, IsisMsg::Direct(payload));
     }
 
     /// Runs `f` against the application with a live [`Uplink`], then
@@ -303,13 +297,12 @@ impl<A: Application> IsisProcess<A> {
     ) -> Option<R> {
         let mut effects = Vec::new();
         let r = {
-            let Self { groups, cfg, sent_ids, .. } = self;
+            let Self { groups, cfg, .. } = self;
             groups.get_mut(&gid).map(|rt| {
                 let mut env = Env {
                     ctx,
                     cfg,
                     effects: &mut effects,
-                    sent: sent_ids,
                 };
                 f(rt, &mut env)
             })
@@ -424,8 +417,8 @@ impl<A: Application> IsisProcess<A> {
                 // runtime starts at.
                 let floor = self.groups.get(&gid).map(GroupRuntime::delivery_floor);
                 for j in joiners {
-                    ctx.bump("isis.sent.install");
-                    ctx.send(
+                    send_counted(
+                        ctx,
                         j,
                         IsisMsg::InstallView {
                             gid,
@@ -460,14 +453,13 @@ impl<A: Application> IsisProcess<A> {
                 payload,
                 want_ack,
             } => {
-                let Self { groups, cfg, sent_ids, .. } = self;
+                let Self { groups, cfg, .. } = self;
                 match groups.get_mut(&gid) {
                     Some(rt) => {
                         let mut env = Env {
                             ctx,
                             cfg,
                             effects,
-                            sent: sent_ids,
                         };
                         if rt.cast(kind, payload, want_ack, &mut env).is_err() {
                             ctx.bump("isis.cast.refused");
@@ -477,14 +469,7 @@ impl<A: Application> IsisProcess<A> {
                 }
             }
             UpOp::Direct { to, payload } => {
-                let Self { cfg, sent_ids, .. } = self;
-                let mut env: Env<'_, '_, A> = Env {
-                    ctx,
-                    cfg,
-                    effects,
-                    sent: sent_ids,
-                };
-                env.send(to, IsisMsg::Direct(payload));
+                send_counted(ctx, to, IsisMsg::Direct(payload));
             }
             UpOp::CreateGroup { gid } => {
                 if let std::collections::btree_map::Entry::Vacant(e) = self.groups.entry(gid) {
@@ -503,18 +488,16 @@ impl<A: Application> IsisProcess<A> {
                             last_attempt: ctx.now(),
                         },
                     );
-                    ctx.bump("isis.sent.join_req");
-                    ctx.send(contact, IsisMsg::JoinReq { gid });
+                    send_counted(ctx, contact, IsisMsg::JoinReq { gid });
                 }
             }
             UpOp::Leave { gid } => {
-                let Self { groups, cfg, sent_ids, .. } = self;
+                let Self { groups, cfg, .. } = self;
                 if let Some(rt) = groups.get_mut(&gid) {
                     let mut env = Env {
                         ctx,
                         cfg,
                         effects,
-                        sent: sent_ids,
                     };
                     rt.request_leave(&mut env);
                 }
@@ -621,23 +604,20 @@ impl<A: Application> Process for IsisProcess<A> {
                 if self.groups.contains_key(&gid) {
                     self.dispatch_group_msg(gid, from, IsisMsg::JoinReq { gid }, ctx);
                 } else {
-                    ctx.bump("isis.sent.join_denied");
-                    ctx.send(from, IsisMsg::JoinDenied { gid });
+                    send_counted(ctx, from, IsisMsg::JoinDenied { gid });
                 }
             }
             IsisMsg::InstallView {
                 gid,
-                attempt,
                 view,
-                relay,
                 state,
                 floor,
+                ..
             } if !self.groups.contains_key(&gid) => {
                 if self.joining.contains_key(&gid) || view.contains(ctx.me()) {
                     self.handle_joiner_install(gid, view, state, floor, ctx);
                 } else {
                     ctx.bump("isis.recv.unknown_group");
-                    let _ = (attempt, relay);
                 }
             }
             other => {
@@ -699,8 +679,7 @@ impl<A: Application> Process for IsisProcess<A> {
                 })
                 .collect();
             for (gid, contact) in due {
-                ctx.bump("isis.sent.join_req");
-                ctx.send(contact, IsisMsg::JoinReq { gid });
+                send_counted(ctx, contact, IsisMsg::JoinReq { gid });
             }
         }
     }

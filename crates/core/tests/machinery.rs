@@ -55,6 +55,30 @@ fn per_category_send_counters_are_populated() {
     assert!(st.counter("isis.sent.cast_causal") >= 2);
     assert!(st.counter("isis.sent.heartbeat") > 0);
     assert!(st.counter("isis.sent.install") >= 2, "joins installed views");
+    assert_sent_counters_sum_to_messages_sent(&c.sim);
+
+    // A crash drives the suspect/flush/install paths; every send they make
+    // is classified too.
+    c.sim.crash(c.pids[2]);
+    c.await_membership(2, SimDuration::from_secs(30));
+    c.cast_and_settle(c.pids[0], CastKind::Fifo, "z");
+    let st = c.sim.stats();
+    assert!(st.counter("isis.sent.flush") > 0);
+    assert!(st.counter("isis.sent.cast_fifo") > 0);
+    assert_sent_counters_sum_to_messages_sent(&c.sim);
+}
+
+/// Every core send bumps exactly one `isis.sent.*` counter, so the
+/// per-category counters add up to the engine's own send count.
+fn assert_sent_counters_sum_to_messages_sent(sim: &Sim<IsisProcess<RecorderApp>>) {
+    let st = sim.stats();
+    let classified: u64 = st
+        .counters()
+        .iter()
+        .filter(|(name, _)| name.starts_with("isis.sent."))
+        .map(|(_, v)| v)
+        .sum();
+    assert_eq!(classified, st.messages_sent);
 }
 
 #[test]

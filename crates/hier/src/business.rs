@@ -100,35 +100,14 @@ impl<'x, 'a, 'b, B: LargeApp> LargeUplink<'x, 'a, 'b, B> {
         self.ops.push(LargeOp::Timer { delay, kind });
     }
 
-    /// Emits a labelled observation.
-    pub fn observe(&mut self, label: &'static str, value: f64) {
-        self.up.observe(label, value);
-    }
-
-    /// Adds one to a named global counter (interned on first use).
+    /// Adds one to a named global counter.
     pub fn bump(&mut self, name: &'static str) {
         self.up.bump(name);
-    }
-
-    /// Records a sample in a named global series (interned on first use).
-    pub fn sample(&mut self, name: &'static str, v: f64) {
-        self.up.sample(name, v);
     }
 
     /// Records a duration sample (milliseconds).
     pub fn sample_duration(&mut self, name: &'static str, d: SimDuration) {
         self.up.sample_duration(name, d);
-    }
-
-    /// Registers (or looks up) a named counter, returning a dense handle
-    /// for allocation-free bumping via [`LargeUplink::bump_id`].
-    pub fn counter_id(&mut self, name: &'static str) -> now_sim::CounterId {
-        self.up.counter_id(name)
-    }
-
-    /// Adds one to an interned counter — a single array index.
-    pub fn bump_id(&mut self, id: now_sim::CounterId) {
-        self.up.bump_id(id);
     }
 
     /// Deterministic randomness.

@@ -952,10 +952,9 @@ impl<B: LargeApp> Application for HierApp<B> {
         }
     }
 
-    fn on_join_denied(&mut self, gid: GroupId, up: &mut Uplink<'_, '_, Self>) {
+    fn on_join_denied(&mut self, _gid: GroupId, up: &mut Uplink<'_, '_, Self>) {
         // A migration target may not exist yet; the member tick retries.
         up.bump("hier.join.leaf_denied");
-        let _ = gid;
     }
 
     fn on_app_timer(&mut self, kind: u32, up: &mut Uplink<'_, '_, Self>) {

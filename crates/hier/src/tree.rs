@@ -575,7 +575,7 @@ impl<B: LargeApp> HierApp<B> {
                     .as_ref()
                     .map(|s| s.children.iter().map(|c| c.gid).collect())
                     .unwrap_or_default();
-                let mut catch_up: Vec<(Pid, GroupId)> = Vec::new();
+                let mut catch_up: Vec<Pid> = Vec::new();
                 for child in &slice.children {
                     rep.child_last.entry(child.gid).or_insert_with(|| up.now());
                     if let Some(&c) = child.contacts.first() {
@@ -589,7 +589,7 @@ impl<B: LargeApp> HierApp<B> {
                             );
                         }
                         if !old_children.contains(&child.gid) {
-                            catch_up.push((c, child.gid));
+                            catch_up.push(c);
                         }
                     }
                 }
@@ -630,7 +630,7 @@ impl<B: LargeApp> HierApp<B> {
                 // broadcasts distributed during the structure change:
                 // re-forward the recent cache (receivers deduplicate).
                 let recent: Vec<(u64, LbcastId, B::Payload)> = rep.recent.iter().cloned().collect();
-                for (c, child_gid) in catch_up {
+                for c in catch_up {
                     // Re-arm ack tracking so retransmission covers them.
                     for (lseq, id, payload) in &recent {
                         up.bump("hier.forward.catchup");
@@ -645,7 +645,6 @@ impl<B: LargeApp> HierApp<B> {
                             }),
                         );
                     }
-                    let _ = child_gid;
                 }
             }
             CtlMsg::SplitLeaf {
@@ -734,8 +733,7 @@ impl<B: LargeApp> HierApp<B> {
             CtlMsg::JoinLargeReq { .. }
             | CtlMsg::ContactsUpdate { .. }
             | CtlMsg::LeafDeadReport { .. } => self.leader_handle_ctl(from, msg, up),
-            other => {
-                let _ = other;
+            _other => {
                 up.bump("hier.ctl.unhandled");
             }
         }
@@ -859,7 +857,7 @@ impl<B: LargeApp> HierApp<B> {
             }
 
             // Retransmit unacked forwards.
-            type Resend<P> = Vec<(u64, LbcastId, P, Vec<(GroupId, Vec<Pid>)>, u64)>;
+            type Resend<P> = Vec<(u64, LbcastId, P, Vec<Vec<Pid>>, u64)>;
             let resend: Resend<B::Payload> = {
                 let rep = self.reps.get_mut(&lgid).expect("key just listed");
                 // Retarget from the *current* slice: beacons and pushes
@@ -882,7 +880,7 @@ impl<B: LargeApp> HierApp<B> {
                     .map(|(&lseq, t)| {
                         t.last_send = now;
                         t.send_attempts += 1;
-                        let targets: Vec<(GroupId, Vec<Pid>)> = t
+                        let targets: Vec<Vec<Pid>> = t
                             .pending_children
                             .iter()
                             .map(|(g, captured)| {
@@ -896,7 +894,7 @@ impl<B: LargeApp> HierApp<B> {
                                         c.push(p);
                                     }
                                 }
-                                (*g, c)
+                                c
                             })
                             .collect();
                         (lseq, t.id, t.payload.clone(), targets, t.send_attempts as u64)
@@ -909,7 +907,7 @@ impl<B: LargeApp> HierApp<B> {
                     .get(&lgid)
                     .and_then(|r| r.slice.as_ref())
                     .map_or(0, |s| s.epoch);
-                for (gid, contacts) in targets {
+                for contacts in targets {
                     if contacts.is_empty() {
                         continue;
                     }
@@ -926,7 +924,6 @@ impl<B: LargeApp> HierApp<B> {
                             payload: payload.clone(),
                         }),
                     );
-                    let _ = gid;
                 }
             }
 
@@ -959,5 +956,3 @@ impl<B: LargeApp> HierApp<B> {
         }
     }
 }
-
-fn _unused() {}

@@ -25,7 +25,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use now_sim::trace::{Monitors, TraceEvent, Tracer};
-use now_sim::Pid;
+use now_sim::{Pid, Series};
 
 use isis_core::{IsisConfig, IsisProcess};
 use isis_hier::harness::RecorderBiz;
@@ -104,21 +104,16 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    fn from_samples(rounds: usize, mut us: Vec<u64>) -> LatencyStats {
-        us.sort_unstable();
-        let pick = |q: f64| -> u64 {
-            if us.is_empty() {
-                return 0;
-            }
-            let idx = ((us.len() - 1) as f64 * q).round() as usize;
-            us[idx]
-        };
+    /// Summarises per-round latencies by the simulator's nearest-rank
+    /// rule ([`Series::quantile`]), so live and simulated percentiles
+    /// mean the same thing.
+    fn from_series(rounds: usize, us: &Series) -> LatencyStats {
         LatencyStats {
             rounds,
             completed: us.len(),
-            p50_us: pick(0.50),
-            p99_us: pick(0.99),
-            max_us: us.last().copied().unwrap_or(0),
+            p50_us: us.p50() as u64,
+            p99_us: us.p99() as u64,
+            max_us: us.max() as u64,
         }
     }
 }
@@ -414,7 +409,7 @@ fn form(cluster: &Cluster, cfg: &ClusterConfig) -> Result<(), String> {
 /// E1 replay: timed rounds of large-group broadcasts.
 fn replay_e1(cluster: &Cluster, rounds: usize) -> Result<LatencyStats, String> {
     let lgid = cluster.lgid;
-    let mut samples = Vec::new();
+    let mut samples = Series::default();
     for i in 0..rounds {
         let sender = cluster.members[i % cluster.members.len()];
         let payload = format!("e1:{i}");
@@ -435,9 +430,9 @@ fn replay_e1(cluster: &Cluster, rounds: usize) -> Result<LatencyStats, String> {
         if !done {
             return Err(format!("E1 round {i} never completed"));
         }
-        samples.push(started.elapsed().as_micros() as u64);
+        samples.push(started.elapsed().as_micros() as f64);
     }
-    Ok(LatencyStats::from_samples(rounds, samples))
+    Ok(LatencyStats::from_series(rounds, &samples))
 }
 
 /// E9 replay: the trading-room quote stream.
@@ -518,4 +513,21 @@ fn check_merged_trace(tracers: Vec<Tracer>) -> (usize, usize) {
         violations += monitors.observe(ev).len();
     }
     (n, violations)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn latency_percentiles_use_the_simulator_rule() {
+        let mut us = Series::default();
+        for v in [800.0, 100.0, 700.0, 200.0, 600.0, 300.0, 500.0, 400.0] {
+            us.push(v);
+        }
+        let l = LatencyStats::from_series(10, &us);
+        assert_eq!((l.rounds, l.completed), (10, 8));
+        // Nearest rank: p50 of 8 samples is the 4th smallest, as in `Series`.
+        assert_eq!((l.p50_us, l.p99_us, l.max_us), (400, 800, 800));
+    }
 }

@@ -181,7 +181,7 @@ where
         self.procs.keys().map(|&p| Pid(p)).collect()
     }
 
-    /// The shared process-hosting runtime (stats, observations, tracer).
+    /// The shared process-hosting runtime (stats, RNG, tracer).
     pub fn endpoint(&self) -> &Endpoint<P::Msg> {
         &self.ep
     }

@@ -15,10 +15,10 @@
 //! traffic, `seq` is the per-source counter, and `source` breaks the
 //! remaining ties.
 //!
-//! The hot paths — `route`, `step`, counter bumps — are allocation-free:
-//! counters are interned ids, the per-callback action buffer is reused
-//! across invocations, multicast shares one payload `Rc` across all
-//! destinations, and the FIFO channel clock is a flat dense table.
+//! The hot paths — `route` and `step` — are allocation-free: the
+//! per-callback action buffer is reused across invocations, multicast
+//! shares one payload `Rc` across all destinations, and the FIFO channel
+//! clock is a flat dense table.
 //!
 //! The send/deliver/timer surface lives in [`crate::transport`]: the sim is
 //! the default [`Transport`] implementation, and the process-hosting runtime
@@ -35,7 +35,7 @@ use crate::det_rand::{DetRng, SplitMix64};
 
 use crate::ids::{NodeId, Pid, SiteId, TimerId};
 use crate::net::{NetConfig, Partition};
-use crate::stats::{ObservationLog, Stats};
+use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 use crate::transport::{dispatch, Action, Ctx, Endpoint, Transport};
 
@@ -43,7 +43,7 @@ use crate::transport::{dispatch, Action, Ctx, Endpoint, Transport};
 ///
 /// All processes in one simulation share a message type `Msg`; layered
 /// protocols embed their payloads in it. Callbacks receive a [`Ctx`] through
-/// which every externally visible effect (sends, timers, observations) must
+/// which every externally visible effect (sends, timers, counters) must
 /// flow — this is what makes runs reproducible and measurable.
 pub trait Process: 'static {
     /// The message type exchanged between processes in this simulation.
@@ -232,7 +232,7 @@ pub struct Sim<P: Process> {
     node_sites: Vec<SiteId>,
     partition: Partition,
     /// The process-hosting runtime shared with real backends: clock
-    /// snapshot, RNG, stats, observations, reusable action buffer, optional
+    /// snapshot, RNG, stats, reusable action buffer, optional
     /// tracer. The sim is its single clock writer.
     ep: Endpoint<P::Msg>,
     /// Per ordered (src, dst) pair: latest scheduled arrival, used to keep
@@ -382,7 +382,7 @@ impl<P: Process> Sim<P> {
         self.ep.now
     }
 
-    /// The process-hosting runtime (stats, observations, RNG, tracer).
+    /// The process-hosting runtime (stats, RNG, tracer).
     pub fn endpoint(&self) -> &Endpoint<P::Msg> {
         &self.ep
     }
@@ -400,16 +400,6 @@ impl<P: Process> Sim<P> {
     /// Mutable access to statistics (to enable tracking or reset windows).
     pub fn stats_mut(&mut self) -> &mut Stats {
         self.ep.stats_mut()
-    }
-
-    /// The observation log.
-    pub fn observations(&self) -> &ObservationLog {
-        self.ep.observations()
-    }
-
-    /// Mutable observation log (for clearing between measurement windows).
-    pub fn observations_mut(&mut self) -> &mut ObservationLog {
-        self.ep.observations_mut()
     }
 
     /// Immutable access to a process's state, alive or crashed.
@@ -679,7 +669,6 @@ impl<P: Process> Sim<P> {
                     incarnation: slot.incarnation,
                     rng: &mut slot.rng,
                     stats: &mut ep.stats,
-                    obs: &mut ep.obs,
                     next_timer: &mut slot.next_timer,
                     timer_base: (u64::from(pid.0) + 1) << 32,
                     actions: &mut actions,

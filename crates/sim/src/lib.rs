@@ -51,5 +51,5 @@ pub use engine::{Process, Sim, SimConfig};
 pub use transport::{dispatch, Action, Ctx, Endpoint, Transport};
 pub use ids::{NodeId, Pid, SiteId, TimerId};
 pub use net::{LinkModel, NetConfig, Partition};
-pub use stats::{CounterId, ObservationLog, Series, SeriesId, Stats};
+pub use stats::{Series, Stats};
 pub use time::{SimDuration, SimTime};

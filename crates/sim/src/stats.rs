@@ -5,29 +5,15 @@
 //! collected *here*, centrally, so protocol code needs no instrumentation
 //! beyond optional named counters and latency samples.
 //!
-//! Named counters and series are **interned**: the first `bump`/`sample`
-//! of a name registers it and assigns a dense [`CounterId`]/[`SeriesId`];
-//! every subsequent hit is an array index. Hot protocol paths can resolve
-//! the id once (via [`Stats::counter_id`] / [`Stats::series_id`]) and bump
-//! through the handle, which costs neither an allocation nor a tree walk.
-//! The name→id table is consulted only at registration and report time.
+//! Named counters and series are keyed by their `&'static str` name in a
+//! sorted map: the first `bump`/`sample` of a name inserts it, every later
+//! hit is a lookup by name. Reports iterate the maps, so they come out
+//! sorted by name.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ids::Pid;
-use crate::time::{SimDuration, SimTime};
-
-/// Dense handle for a named counter, assigned at first registration.
-///
-/// Ids are deterministic for a fixed registration order (which, in a
-/// deterministic simulation, is itself fixed by the seed and harness
-/// script); reports are keyed by *name*, so ids never leak into output.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CounterId(u32);
-
-/// Dense handle for a named sample series. See [`CounterId`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SeriesId(u32);
+use crate::time::SimDuration;
 
 /// Per-process message counters.
 #[derive(Clone, Debug, Default)]
@@ -78,14 +64,6 @@ impl Series {
         self.samples.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Minimum sample, or 0.0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
     /// The `q`-quantile (0.0..=1.0) by nearest-rank, or 0.0 when empty.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.samples.is_empty() {
@@ -109,10 +87,6 @@ impl Series {
         self.quantile(0.99)
     }
 
-    /// Borrow the raw samples.
-    pub fn raw(&self) -> &[f64] {
-        &self.samples
-    }
 }
 
 /// Global simulation statistics.
@@ -139,18 +113,10 @@ pub struct Stats {
     /// Distinct destinations each process has contacted. Enabled on demand
     /// because it costs a hash-set per process.
     fanout_tracking: Option<Vec<BTreeSet<Pid>>>,
-    /// Name→id registration table for counters (registration/report only).
-    counter_index: BTreeMap<&'static str, u32>,
-    /// Counter names, indexed by `CounterId`.
-    counter_names: Vec<&'static str>,
-    /// Counter values, indexed by `CounterId` — the hot-path store.
-    counter_slots: Vec<u64>,
-    /// Name→id registration table for series (registration/report only).
-    series_index: BTreeMap<&'static str, u32>,
-    /// Series names, indexed by `SeriesId`.
-    series_names: Vec<&'static str>,
-    /// Series values, indexed by `SeriesId` — the hot-path store.
-    series_slots: Vec<Series>,
+    /// Named counters, sorted by name.
+    counters: BTreeMap<&'static str, u64>,
+    /// Named sample series, sorted by name.
+    series: BTreeMap<&'static str, Series>,
 }
 
 impl Stats {
@@ -246,54 +212,9 @@ impl Stats {
         f.iter().map(BTreeSet::len).max().unwrap_or(0)
     }
 
-    /// Registers (or looks up) the named counter, returning its dense id.
-    /// Resolve once, bump through [`Stats::bump_id`] forever after.
-    pub fn counter_id(&mut self, name: &'static str) -> CounterId {
-        if let Some(&id) = self.counter_index.get(name) {
-            return CounterId(id);
-        }
-        let id = self.counter_slots.len() as u32;
-        self.counter_index.insert(name, id);
-        self.counter_names.push(name);
-        self.counter_slots.push(0);
-        CounterId(id)
-    }
-
-    /// Registers (or looks up) the named series, returning its dense id.
-    pub fn series_id(&mut self, name: &'static str) -> SeriesId {
-        if let Some(&id) = self.series_index.get(name) {
-            return SeriesId(id);
-        }
-        let id = self.series_slots.len() as u32;
-        self.series_index.insert(name, id);
-        self.series_names.push(name);
-        self.series_slots.push(Series::default());
-        SeriesId(id)
-    }
-
-    /// Adds `n` to an interned counter — a single array index.
-    #[inline]
-    pub fn bump_id_by(&mut self, id: CounterId, n: u64) {
-        self.counter_slots[id.0 as usize] += n;
-    }
-
-    /// Adds 1 to an interned counter — a single array index.
-    #[inline]
-    pub fn bump_id(&mut self, id: CounterId) {
-        self.bump_id_by(id, 1);
-    }
-
-    /// Records one sample in an interned series — a single array index.
-    #[inline]
-    pub fn sample_id(&mut self, id: SeriesId, v: f64) {
-        self.series_slots[id.0 as usize].push(v);
-    }
-
-    /// Adds `n` to the named counter (registering it on first use). No
-    /// allocation; cold paths may prefer this over carrying a handle.
+    /// Adds `n` to the named counter (registering it on first use).
     pub fn bump_by(&mut self, name: &'static str, n: u64) {
-        let id = self.counter_id(name);
-        self.bump_id_by(id, n);
+        *self.counters.entry(name).or_insert(0) += n;
     }
 
     /// Adds 1 to the named counter.
@@ -303,28 +224,20 @@ impl Stats {
 
     /// Reads a named counter (0 when never bumped).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counter_index
-            .get(name)
-            .map_or(0, |&id| self.counter_slots[id as usize])
-    }
-
-    /// Reads an interned counter.
-    pub fn counter_by_id(&self, id: CounterId) -> u64 {
-        self.counter_slots[id.0 as usize]
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// All named counters, sorted by name (built at report time).
     pub fn counters(&self) -> BTreeMap<String, u64> {
-        self.counter_index
+        self.counters
             .iter()
-            .map(|(&name, &id)| (name.to_owned(), self.counter_slots[id as usize]))
+            .map(|(&name, &v)| (name.to_owned(), v))
             .collect()
     }
 
     /// Records one sample in the named series (registering on first use).
     pub fn sample(&mut self, name: &'static str, v: f64) {
-        let id = self.series_id(name);
-        self.sample_id(id, v);
+        self.series.entry(name).or_default().push(v);
     }
 
     /// Records a duration sample in milliseconds.
@@ -334,13 +247,11 @@ impl Stats {
 
     /// Reads a named series (empty when never sampled).
     pub fn series(&self, name: &str) -> Series {
-        self.series_index
-            .get(name)
-            .map_or_else(Series::default, |&id| self.series_slots[id as usize].clone())
+        self.series.get(name).cloned().unwrap_or_default()
     }
 
     /// Resets message counters and series but keeps process table sizing
-    /// (and counter/series registrations — cleared slots read as zero).
+    /// (and counter/series names — cleared entries read as zero).
     ///
     /// Used by experiments that let the system reach steady state, then
     /// measure a window.
@@ -358,109 +269,13 @@ impl Stats {
                 s.clear();
             }
         }
-        for c in &mut self.counter_slots {
+        for c in self.counters.values_mut() {
             *c = 0;
         }
-        for s in &mut self.series_slots {
+        for s in self.series.values_mut() {
             *s = Series::default();
         }
     }
-
-    /// Sum of messages sent by every process in `pids`.
-    pub fn sent_by(&self, pids: impl IntoIterator<Item = Pid>) -> u64 {
-        pids.into_iter().map(|p| self.proc(p).sent).sum()
-    }
-
-    /// Sum of messages received by every process in `pids`.
-    pub fn received_by(&self, pids: impl IntoIterator<Item = Pid>) -> u64 {
-        pids.into_iter().map(|p| self.proc(p).received).sum()
-    }
-}
-
-/// A single observation a process can emit for the harness to collect, with
-/// the simulated time at which it happened.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Observation {
-    /// When the observation was emitted.
-    pub at: SimTime,
-    /// The emitting process.
-    pub by: Pid,
-    /// Static label, e.g. `"delivered"` (static so emission never allocates).
-    pub label: &'static str,
-    /// Numeric payload (meaning depends on the label).
-    pub value: f64,
-}
-
-/// An append-only log of observations emitted by processes via
-/// [`crate::Ctx::observe`].
-#[derive(Clone, Debug, Default)]
-pub struct ObservationLog {
-    entries: Vec<Observation>,
-}
-
-impl ObservationLog {
-    pub(crate) fn push(&mut self, obs: Observation) {
-        self.entries.push(obs);
-    }
-
-    /// All observations in emission order.
-    pub fn all(&self) -> &[Observation] {
-        &self.entries
-    }
-
-    /// Observations with the given label.
-    pub fn with_label<'a>(&'a self, label: &'a str) -> impl Iterator<Item = &'a Observation> {
-        self.entries.iter().filter(move |o| o.label == label)
-    }
-
-    /// Count of observations with the given label.
-    pub fn count(&self, label: &str) -> usize {
-        self.with_label(label).count()
-    }
-
-    /// Clears the log.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-/// Histogram-style bucket summary used by report printers.
-#[derive(Clone, Debug, Default)]
-pub struct CountMap<K: Ord> {
-    counts: BTreeMap<K, u64>,
-}
-
-impl<K: Ord> CountMap<K> {
-    /// Creates an empty count map.
-    pub fn new() -> CountMap<K> {
-        CountMap {
-            counts: BTreeMap::new(),
-        }
-    }
-
-    /// Adds one to the bucket for `k`.
-    pub fn bump(&mut self, k: K) {
-        *self.counts.entry(k).or_insert(0) += 1;
-    }
-
-    /// Reads the bucket for `k`.
-    pub fn get(&self, k: &K) -> u64 {
-        self.counts.get(k).copied().unwrap_or(0)
-    }
-
-    /// Iterates buckets in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, u64)> {
-        self.counts.iter().map(|(k, v)| (k, *v))
-    }
-}
-
-/// Extension: aggregates a `BTreeMap<Pid, u64>` into the hottest entries, for
-/// reports about which processes carry the load.
-pub fn hottest(map: &BTreeMap<Pid, u64>, k: usize) -> Vec<(Pid, u64)> {
-    let mut v: Vec<(Pid, u64)> = map.iter().map(|(p, c)| (*p, *c)).collect();
-    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    v.truncate(k);
-    v
 }
 
 #[cfg(test)]
@@ -476,7 +291,6 @@ mod tests {
         assert_eq!(s.p50(), 50.0);
         assert_eq!(s.p99(), 99.0);
         assert_eq!(s.quantile(1.0), 100.0);
-        assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 100.0);
         assert!((s.mean() - 50.5).abs() < 1e-9);
     }
@@ -540,24 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn interned_ids_alias_the_named_stores() {
-        let mut st = Stats::default();
-        let c = st.counter_id("hits");
-        let s = st.series_id("lat");
-        st.bump_id(c);
-        st.bump("hits");
-        st.bump_id_by(c, 3);
-        st.sample_id(s, 2.0);
-        st.sample("lat", 4.0);
-        assert_eq!(st.counter("hits"), 5);
-        assert_eq!(st.counter_by_id(c), 5);
-        assert_eq!(st.series("lat").mean(), 3.0);
-        // Re-registering the same name yields the same id.
-        assert_eq!(st.counter_id("hits"), c);
-        assert_eq!(st.series_id("lat"), s);
-    }
-
-    #[test]
     fn counters_report_is_sorted_by_name() {
         let mut st = Stats::default();
         st.bump("zz");
@@ -571,7 +367,6 @@ mod tests {
     fn reset_window_clears_counts() {
         let mut st = Stats::default();
         st.enable_fanout_tracking();
-        let c = st.counter_id("x");
         st.record_send(Pid(0), Pid(1), 10);
         st.bump("x");
         st.sample("s", 1.0);
@@ -581,60 +376,9 @@ mod tests {
         assert_eq!(st.counter("x"), 0);
         assert_eq!(st.series("s").len(), 0);
         assert_eq!(st.distinct_destinations(Pid(0)), 0);
-        // Registrations survive the reset: the handle still works.
-        st.bump_id(c);
+        // Names survive the reset and read as zero until bumped again.
+        assert_eq!(st.counters().get("x"), Some(&0));
+        st.bump("x");
         assert_eq!(st.counter("x"), 1);
-    }
-
-    #[test]
-    fn observation_log_filters_by_label() {
-        let mut log = ObservationLog::default();
-        log.push(Observation {
-            at: SimTime(1),
-            by: Pid(0),
-            label: "a",
-            value: 1.0,
-        });
-        log.push(Observation {
-            at: SimTime(2),
-            by: Pid(1),
-            label: "b",
-            value: 2.0,
-        });
-        assert_eq!(log.count("a"), 1);
-        assert_eq!(log.all().len(), 2);
-        assert_eq!(log.with_label("b").next().unwrap().value, 2.0);
-    }
-
-    #[test]
-    fn count_map_buckets() {
-        let mut m = CountMap::new();
-        m.bump(3);
-        m.bump(3);
-        m.bump(5);
-        assert_eq!(m.get(&3), 2);
-        assert_eq!(m.get(&4), 0);
-        assert_eq!(m.iter().count(), 2);
-    }
-
-    #[test]
-    fn hottest_sorts_descending() {
-        let mut m = BTreeMap::new();
-        m.insert(Pid(1), 5);
-        m.insert(Pid(2), 9);
-        m.insert(Pid(3), 9);
-        let h = hottest(&m, 2);
-        assert_eq!(h, vec![(Pid(2), 9), (Pid(3), 9)]);
-    }
-
-    #[test]
-    fn sent_received_aggregation() {
-        let mut st = Stats::default();
-        st.record_send(Pid(0), Pid(1), 1);
-        st.record_send(Pid(1), Pid(0), 1);
-        st.record_delivery(Pid(0));
-        st.record_delivery(Pid(1));
-        assert_eq!(st.sent_by([Pid(0), Pid(1)]), 2);
-        assert_eq!(st.received_by([Pid(0), Pid(1)]), 2);
     }
 }

@@ -11,7 +11,7 @@
 //! The split is three pieces:
 //! - [`Action`] — the effect vocabulary (what a callback may ask for),
 //! - [`Endpoint`] — the backend-shared process-hosting runtime: the clock
-//!   snapshot, the seeded RNG, stats, observations, the timer-id allocator,
+//!   snapshot, the seeded RNG, stats, the timer-id allocator,
 //!   the reusable action buffer, and the optional tracer. Both backends
 //!   drive callbacks through [`Endpoint::run`], so trace/stat emission is
 //!   identical in simulation and on a real network.
@@ -29,7 +29,7 @@ use now_trace::{EventKind as TraceKind, Tracer};
 
 use crate::det_rand::DetRng;
 use crate::ids::{Pid, TimerId};
-use crate::stats::{CounterId, Observation, ObservationLog, SeriesId, Stats};
+use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 
 /// One buffered effect emitted by a process callback through [`Ctx`].
@@ -104,7 +104,7 @@ pub fn dispatch<M>(
 /// The backend-shared process-hosting runtime.
 ///
 /// Owns everything a [`Ctx`] borrows: the clock snapshot, the seeded RNG,
-/// statistics, the observation log, the timer-id allocator, the reusable
+/// statistics, the timer-id allocator, the reusable
 /// action buffer, and the optional tracer. A backend embeds one `Endpoint`
 /// and drives every process callback through [`Endpoint::run`], which is
 /// what makes stat counters and trace events mean the same thing in a
@@ -113,7 +113,6 @@ pub struct Endpoint<M> {
     pub(crate) now: SimTime,
     pub(crate) rng: DetRng,
     pub(crate) stats: Stats,
-    pub(crate) obs: ObservationLog,
     pub(crate) next_timer: u64,
     pub(crate) scratch: Vec<Action<M>>,
     pub(crate) tracer: Option<Tracer>,
@@ -128,7 +127,6 @@ impl<M> Endpoint<M> {
             now: SimTime::ZERO,
             rng: DetRng::seed_from_u64(seed),
             stats: Stats::default(),
-            obs: ObservationLog::default(),
             next_timer: 0,
             scratch: Vec::new(),
             tracer: Tracer::from_env(),
@@ -159,16 +157,6 @@ impl<M> Endpoint<M> {
     /// Mutable statistics (reset windows, per-proc tracking).
     pub fn stats_mut(&mut self) -> &mut Stats {
         &mut self.stats
-    }
-
-    /// The observation log.
-    pub fn observations(&self) -> &ObservationLog {
-        &self.obs
-    }
-
-    /// Mutable observation log.
-    pub fn observations_mut(&mut self) -> &mut ObservationLog {
-        &mut self.obs
     }
 
     /// Attaches a tracer, replacing and returning any existing one.
@@ -224,14 +212,13 @@ impl<M> Endpoint<M> {
     ) -> (R, Vec<Action<M>>) {
         let mut actions = std::mem::take(&mut self.scratch);
         let r = {
-            let Endpoint { now, rng, stats, obs, next_timer, tracer, .. } = self;
+            let Endpoint { now, rng, stats, next_timer, tracer, .. } = self;
             let mut ctx = Ctx {
                 now: *now,
                 me,
                 incarnation,
                 rng,
                 stats,
-                obs,
                 next_timer,
                 timer_base: 0,
                 actions: &mut actions,
@@ -262,7 +249,6 @@ pub struct Ctx<'a, M> {
     pub(crate) incarnation: u32,
     pub(crate) rng: &'a mut DetRng,
     pub(crate) stats: &'a mut Stats,
-    pub(crate) obs: &'a mut ObservationLog,
     pub(crate) next_timer: &'a mut u64,
     /// High bits OR-ed into every allocated [`TimerId`]. The daemon path
     /// passes 0 (one global counter); the engine passes a pid-derived
@@ -344,54 +330,14 @@ impl<'a, M> Ctx<'a, M> {
         self.rng
     }
 
-    /// Emits a labelled observation for the harness. Labels are static so
-    /// emission never allocates.
-    pub fn observe(&mut self, label: &'static str, value: f64) {
-        self.obs.push(Observation {
-            at: self.now,
-            by: self.me,
-            label,
-            value,
-        });
-    }
-
-    /// Registers (or looks up) a named counter, returning a dense handle.
-    /// Hot paths resolve the id once and bump through [`Ctx::bump_id`].
-    pub fn counter_id(&mut self, name: &'static str) -> CounterId {
-        self.stats.counter_id(name)
-    }
-
-    /// Registers (or looks up) a named series, returning a dense handle.
-    pub fn series_id(&mut self, name: &'static str) -> SeriesId {
-        self.stats.series_id(name)
-    }
-
-    /// Adds one to an interned counter — a single array index.
-    #[inline]
-    pub fn bump_id(&mut self, id: CounterId) {
-        self.stats.bump_id(id);
-    }
-
-    /// Adds `n` to an interned counter — a single array index.
-    #[inline]
-    pub fn bump_id_by(&mut self, id: CounterId, n: u64) {
-        self.stats.bump_id_by(id, n);
-    }
-
-    /// Records a sample in an interned series — a single array index.
-    #[inline]
-    pub fn sample_id(&mut self, id: SeriesId, v: f64) {
-        self.stats.sample_id(id, v);
-    }
-
-    /// Adds one to a named global counter (interned on first use).
+    /// Adds one to a named global counter.
     pub fn bump(&mut self, name: &'static str) {
         self.stats.bump(name);
     }
 
-    /// Records a sample in a named global series (interned on first use).
-    pub fn sample(&mut self, name: &'static str, v: f64) {
-        self.stats.sample(name, v);
+    /// Adds `n` to a named global counter.
+    pub fn bump_by(&mut self, name: &'static str, n: u64) {
+        self.stats.bump_by(name, n);
     }
 
     /// Records a duration sample (milliseconds) in a named global series.
@@ -506,7 +452,6 @@ mod tests {
         // colliding and without disturbing the counters' low bits.
         let mut rng = DetRng::seed_from_u64(0);
         let mut stats = Stats::default();
-        let mut obs = ObservationLog::default();
         let mut ctr: u64 = 5;
         let mut actions: Vec<Action<u32>> = Vec::new();
         let base = (3u64 + 1) << 32;
@@ -516,7 +461,6 @@ mod tests {
             incarnation: 0,
             rng: &mut rng,
             stats: &mut stats,
-            obs: &mut obs,
             next_timer: &mut ctr,
             timer_base: base,
             actions: &mut actions,
@@ -531,15 +475,13 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_stats_and_observations_flow_through_ctx() {
+    fn endpoint_stats_flow_through_ctx() {
         let mut ep: Endpoint<u32> = Endpoint::new(2);
         ep.set_now(SimTime(7));
         let (_, a) = ep.run(Pid(1), 0, None, |ctx| {
             ctx.bump("x.count");
-            ctx.observe("y", 1.5);
         });
         ep.give_back(a);
         assert_eq!(ep.stats().counter("x.count"), 1);
-        assert_eq!(ep.observations().all().len(), 1);
     }
 }

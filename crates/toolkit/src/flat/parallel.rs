@@ -92,7 +92,6 @@ impl Application for FlatParallel {
                         let total = *sum;
                         self.collecting.remove(task);
                         self.results.insert(*task, total);
-                        up.observe("parallel.done", *task as f64);
                     }
                 }
             }

@@ -424,7 +424,7 @@ impl LargeApp for LeafServiceApp {
         // broadcasts are available to the application above.
     }
 
-    fn on_direct(&mut self, from: Pid, payload: &HSvcMsg, up: &mut LargeUplink<'_, '_, '_, Self>) {
+    fn on_direct(&mut self, _from: Pid, payload: &HSvcMsg, up: &mut LargeUplink<'_, '_, '_, Self>) {
         match payload {
             HSvcMsg::Request { req, body } => {
                 if self.completed.contains(req) || self.leaf_view.is_none() {
@@ -523,7 +523,6 @@ impl LargeApp for LeafServiceApp {
                 up.bump("tool.hsvc.misrouted")
             }
         }
-        let _ = from;
     }
 
     fn on_leaf_cast(
